@@ -532,8 +532,3 @@ uint64_t Engine::routingKey(const Program &Prog) {
   D.combine(programDataDigest(Prog));
   return D.value();
 }
-
-Engine &Engine::shared() {
-  static Engine Shared;
-  return Shared;
-}

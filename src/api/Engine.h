@@ -27,10 +27,7 @@
 /// Engine::optimize chains the paper's whole pipeline — a priori
 /// normalization, BLAS idiom replacement, transfer tuning from the
 /// database — and compiles the scheduled program in one call. All entry
-/// points are thread-safe; the free functions interpret() / runProgram()
-/// / semanticallyEquivalent() route through a process-wide
-/// Engine::shared() so repeated executions of the same program compile
-/// once.
+/// points are thread-safe.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -245,10 +242,6 @@ public:
   /// The stored calibration scale of \p RoutingKey (0.0 = never
   /// calibrated).
   double calibrationFor(uint64_t RoutingKey) const;
-
-  /// The process-wide engine behind the exec-layer free functions
-  /// (default options; DAISY_THREADS-resolved plan threading).
-  static Engine &shared();
 
   /// Stable routing identity of \p Prog: the marks-aware structural hash
   /// combined with the array/param digest — the plan-cache key minus the

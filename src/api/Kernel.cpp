@@ -13,6 +13,7 @@
 #include "api/KernelImpl.h"
 
 #include <cassert>
+#include <stdexcept>
 
 using namespace daisy;
 
@@ -57,29 +58,49 @@ RunStatus Kernel::run(const ArgBinding &Args) const {
   if (std::string Error = resolveBinding(Impl->Prog, Args, Slots);
       !Error.empty())
     return {std::move(Error)};
-  if (Impl->Exhausted)
-    return RunStatus::resourceExhausted();
-  // Status-returning runs go through the self-protection layer: the
-  // "kernel.run" fault site, and — for Engine-compiled kernels — the
-  // circuit breaker with tree-walk healing (api/KernelImpl.h).
   return runGuardedSlots(*Impl, Slots.data());
 }
 
+namespace {
+
+/// Builds the slot table over \p Env's buffers, checked against \p Prog's
+/// declarations: one buffer per declared array (transients included, so
+/// the plan uses the environment's own scratch), each holding exactly the
+/// declared element count. Returns an empty string on success, the
+/// diagnostic otherwise.
+std::string environmentSlots(const Program &Prog, DataEnv &Env,
+                             std::vector<BufferRef> &Slots) {
+  const std::vector<ArrayDecl> &Arrays = Prog.arrays();
+  if (Env.slotCount() != Arrays.size())
+    return "environment holds " + std::to_string(Env.slotCount()) +
+           " buffers, kernel declares " + std::to_string(Arrays.size()) +
+           " arrays";
+  Slots.resize(Arrays.size());
+  for (size_t S = 0; S < Arrays.size(); ++S) {
+    std::vector<double> &Buf = Env.bufferAt(S);
+    size_t Expected = boundElementCount(Arrays[S]);
+    if (Buf.size() != Expected)
+      return "array '" + Arrays[S].Name + "' shape mismatch: environment " +
+             "holds " + std::to_string(Buf.size()) + " elements, declared " +
+             std::to_string(Expected);
+    Slots[S] = {Buf.data(), Buf.size()};
+  }
+  return {};
+}
+
+} // namespace
+
 void Kernel::run(DataEnv &Env) const {
   assert(Impl && "empty kernel handle");
-  assert(!Impl->Exhausted &&
-         "resource-exhausted kernel cannot execute; use the status-"
-         "returning run forms, which report ResourceExhausted");
-  assert(Env.slotCount() == Impl->Prog.arrays().size() &&
-         "environment was not allocated for this kernel's program");
-  if (Impl->TreeWalk) {
-    // Degraded kernel: the environment already is the interpreter's
-    // native storage, so no staging is needed.
-    interpretTreeWalk(Impl->Prog, Env);
-    return;
-  }
-  PooledContext Ctx(*Impl);
-  Impl->Plan.run(Env, Ctx->Exec);
+  std::vector<BufferRef> Slots;
+  RunStatus Status;
+  if (std::string Error = environmentSlots(Impl->Prog, Env, Slots);
+      !Error.empty())
+    Status = {std::move(Error)};
+  else
+    Status = runGuardedSlots(*Impl, Slots.data());
+  if (!Status.ok())
+    throw std::runtime_error(Status.Error);
 }
 
 DataEnv Kernel::run(uint64_t Seed) const {

@@ -17,24 +17,30 @@
 /// Every run borrows a per-run execution context from a pool owned by the
 /// kernel: the register file, tape stack, offset scratch, and
 /// kernel-managed transient storage survive from run to run instead of
-/// being reallocated (the per-thread plan scratch reuse the batch
-/// equivalence checker pioneered, now available to every caller).
-/// Concurrent Kernel::run calls each borrow their own context, so a single
-/// kernel serves any number of threads with results bit-identical to
-/// serial execution.
+/// being reallocated. Concurrent Kernel::run calls each borrow their own
+/// context, so a single kernel serves any number of threads with results
+/// bit-identical to serial execution.
 ///
-/// Three run forms, from fastest to most convenient:
+/// Five run forms, from fastest to most convenient. They differ only in
+/// how they build the buffer-slot table; every one then executes through
+/// the same guarded path (api/KernelImpl.h runGuardedSlotsOn), so the
+/// hot-swapped plan version, the circuit breaker, the "kernel.run" fault
+/// site, and the tuner's profile tap apply to all of them alike:
 ///
+/// - runBatch(BoundArgs*, ..., RunContextLease&): a serving lane's
+///   micro-batch of prepared runs on one leased context.
+/// - run(BoundArgs): a prepared run — the binding was validated once by
+///   bind() and is reused without string compares.
 /// - run(ArgBinding): zero-copy — the caller owns every observable
 ///   array's storage and the plan executes directly on it. Bindings are
 ///   validated against the program's array declarations (unknown names,
 ///   shape mismatches, missing or duplicate arrays are rejected with a
 ///   diagnostic instead of UB). Transient arrays introduced by
 ///   transformations are kernel-managed scratch and must not be bound.
-/// - run(DataEnv&): executes on a caller-allocated environment (the
-///   classic interpret() contract).
-/// - run(Seed): allocates an environment, fills it deterministically, and
-///   returns it (the classic runProgram() contract).
+/// - run(DataEnv&): executes on a caller-allocated environment, checked
+///   against the declarations; failures throw std::runtime_error.
+/// - run(Seed): allocates an environment, fills it deterministically, runs
+///   it through run(DataEnv&), and returns it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -174,10 +180,10 @@ public:
 
   /// True for kernels the Engine could not fit into its memory budget
   /// even after evicting the plan cache. Such a kernel still validates
-  /// and binds arguments, but every run(ArgBinding)/run(BoundArgs)/
-  /// runBatch entry completes with RunStatus::ResourceExhausted instead
-  /// of executing. The key is not cached, so a later compile (after
-  /// pressure subsides) retries for real.
+  /// and binds arguments, but every run form completes with
+  /// RunStatus::ResourceExhausted (thrown by run(DataEnv&) and run(Seed))
+  /// instead of executing. The key is not cached, so a later compile
+  /// (after pressure subsides) retries for real.
   bool isExhausted() const;
 
   /// Estimated bytes of engine-retained memory this kernel accounts for
@@ -216,22 +222,16 @@ public:
   /// serve/BoundArgs.cpp.
   RunStatus run(const BoundArgs &Args) const;
 
-  /// Micro-batch execution: runs \p Count prepared argument sets
-  /// back-to-back on a single pooled context, writing one status per
-  /// request to \p Statuses. Semantically identical to \p Count run()
-  /// calls (requests are independent; non-ok or stale entries fail their
-  /// status without disturbing the rest) but pays one context
-  /// acquisition for the whole batch — the serving runtime's coalesced
-  /// dispatch. Defined in serve/BoundArgs.cpp.
-  void runBatch(const BoundArgs *const *Args, RunStatus *Statuses,
-                size_t Count) const;
-
-  /// runBatch with lane context affinity: the pooled context is kept in
-  /// \p Lease between calls instead of returned after each batch, so
-  /// consecutive same-kernel batches on one serving lane reuse a warm
-  /// context with no pool round-trip. A lease held for a different
-  /// kernel is transparently returned and re-borrowed. Semantically
-  /// identical to runBatch above. Defined in serve/BoundArgs.cpp.
+  /// Micro-batch execution with lane context affinity: runs \p Count
+  /// prepared argument sets back-to-back on the pooled context kept in
+  /// \p Lease, writing one status per request to \p Statuses.
+  /// Semantically identical to \p Count run() calls (requests are
+  /// independent; non-ok or stale entries fail their status without
+  /// disturbing the rest), but consecutive same-kernel batches on one
+  /// serving lane reuse a warm context with no pool round-trip — the
+  /// serving runtime's coalesced dispatch. A lease held for a different
+  /// kernel is transparently returned and re-borrowed. Defined in
+  /// serve/BoundArgs.cpp.
   void runBatch(const BoundArgs *const *Args, RunStatus *Statuses,
                 size_t Count, RunContextLease &Lease) const;
 
@@ -241,8 +241,11 @@ public:
   const void *token() const { return Impl.get(); }
 
   /// Executes on \p Env, which must have been allocated for this
-  /// kernel's program (DataEnv slot order is the contract). Thread-safe
-  /// for distinct environments.
+  /// kernel's program (DataEnv slot order is the contract): every slot
+  /// must hold its declared array's element count. Throws
+  /// std::runtime_error carrying the RunStatus diagnostic when the check
+  /// fails, the kernel is resource-exhausted, or a run fault could not be
+  /// healed. Thread-safe for distinct environments.
   void run(DataEnv &Env) const;
 
   /// Deterministic-init convenience: allocates an environment, fills it

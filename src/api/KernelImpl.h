@@ -484,49 +484,31 @@ inline void runTreeWalkSlotsOn(const KernelImpl &Impl, const BufferRef *Slots,
     }
 }
 
-/// Executes \p Impl's plan on a resolved slot table (as produced by
-/// resolveBinding) reusing \p Ctx's allocations: caller-bound slots are
-/// used as-is, null slots must be transient and are filled with
-/// kernel-managed scratch zeroed each run so semantics match a freshly
-/// allocated DataEnv. Serving micro-batches call this once per request on
-/// a single borrowed context. Tree-walk kernels take the interpreter
-/// route instead (same observable results, bit for bit).
+/// Executes \p Impl's current plan on a resolved slot table (as produced
+/// by resolveBinding) reusing \p Ctx's allocations. The current plan is
+/// the resolved hot-swap version when one is installed, else the base
+/// plan; a version's SlotMap remaps the caller's base-slot table (an empty
+/// map is the identity). Caller-bound slots are used as-is; null base
+/// slots and unmapped version slots (-1) must be transient and are filled
+/// with kernel-managed scratch zeroed each run, so semantics match a
+/// freshly allocated DataEnv. Tree-walk kernels take the interpreter route
+/// instead (same observable results, bit for bit).
 inline void runPreparedSlotsOn(const KernelImpl &Impl, const BufferRef *Slots,
                                KernelImpl::RunContext &Ctx) {
   if (Impl.TreeWalk)
     return runTreeWalkSlotsOn(Impl, Slots, Ctx);
-  // Hot-swap dispatch: a non-null resolved version executes instead of
-  // the base plan, remapping the caller's base-slot table through the
-  // version's SlotMap. Base slots that are null (base transients) and
-  // unmapped version slots (-1) are version-managed scratch, zeroed per
-  // run like any transient.
-  if (const PlanVersion *V = Impl.resolveVersion(Ctx)) {
-    const std::vector<ArrayDecl> &Arrays = V->Prog.arrays();
-    Ctx.Slots.resize(Arrays.size());
-    if (Ctx.Transients.size() < Arrays.size())
-      Ctx.Transients.resize(Arrays.size());
-    for (size_t S = 0; S < Arrays.size(); ++S) {
-      int32_t Base = V->SlotMap.empty() ? static_cast<int32_t>(S)
-                                        : V->SlotMap[S];
-      if (Base >= 0 && Slots[Base].Data) {
-        Ctx.Slots[S] = Slots[Base];
-        continue;
-      }
-      assert(Arrays[S].Transient &&
-             "unmapped version slot for a caller-bound array");
-      std::vector<double> &Buf = Ctx.Transients[S];
-      Buf.assign(boundElementCount(Arrays[S]), 0.0);
-      Ctx.Slots[S] = {Buf.data(), Buf.size()};
-    }
-    V->Plan.run(Ctx.Slots.data(), Ctx.Slots.size(), Ctx.Exec);
-    return;
-  }
-  const std::vector<ArrayDecl> &Arrays = Impl.Prog.arrays();
+  const PlanVersion *V = Impl.resolveVersion(Ctx);
+  const std::vector<ArrayDecl> &Arrays =
+      V ? V->Prog.arrays() : Impl.Prog.arrays();
+  const ExecPlan &Plan = V ? V->Plan : Impl.Plan;
+  const int32_t *Map = V && !V->SlotMap.empty() ? V->SlotMap.data() : nullptr;
   Ctx.Slots.resize(Arrays.size());
-  Ctx.Transients.resize(Arrays.size());
+  if (Ctx.Transients.size() < Arrays.size())
+    Ctx.Transients.resize(Arrays.size());
   for (size_t S = 0; S < Arrays.size(); ++S) {
-    if (Slots[S].Data) {
-      Ctx.Slots[S] = Slots[S];
+    int32_t Base = Map ? Map[S] : static_cast<int32_t>(S);
+    if (Base >= 0 && Slots[Base].Data) {
+      Ctx.Slots[S] = Slots[Base];
       continue;
     }
     assert(Arrays[S].Transient && "null slot for a caller-bound array");
@@ -534,7 +516,7 @@ inline void runPreparedSlotsOn(const KernelImpl &Impl, const BufferRef *Slots,
     Buf.assign(boundElementCount(Arrays[S]), 0.0);
     Ctx.Slots[S] = {Buf.data(), Buf.size()};
   }
-  Impl.Plan.run(Ctx.Slots.data(), Ctx.Slots.size(), Ctx.Exec);
+  Plan.run(Ctx.Slots.data(), Ctx.Slots.size(), Ctx.Exec);
 }
 
 /// runPreparedSlotsOn plus the tuner's measurement tap: when a profile is
@@ -555,17 +537,12 @@ inline void runProfiledSlotsOn(const KernelImpl &Impl, const BufferRef *Slots,
   Prof->record(Ctx.Version ? Ctx.Version->Id : 0, Nanos);
 }
 
-/// Single-run convenience: borrows a pooled context for one prepared run.
-/// Thread-safe for concurrent calls.
-inline void runPreparedSlots(const KernelImpl &Impl, const BufferRef *Slots) {
-  PooledContext Ctx(Impl);
-  runPreparedSlotsOn(Impl, Slots, *Ctx);
-}
-
-/// One prepared run through the self-protection layer — what every
-/// status-returning run form (run(ArgBinding), run(BoundArgs), runBatch)
-/// dispatches through:
+/// One prepared run through the self-protection layer — the one path
+/// every Kernel run form (run(ArgBinding), run(BoundArgs), runBatch,
+/// run(DataEnv&), run(Seed)) reaches a plan through:
 ///
+/// - A resource-exhausted kernel completes with
+///   RunStatus::ResourceExhausted without executing.
 /// - Fault site "kernel.run": a firing Trigger injects a run fault (the
 ///   plan "crashed"); Delay keeps its slow-kernel meaning.
 /// - A fault on a breakered kernel (Engine-compiled) is recorded against
@@ -586,40 +563,38 @@ inline void runPreparedSlots(const KernelImpl &Impl, const BufferRef *Slots) {
 inline RunStatus runGuardedSlotsOn(const KernelImpl &Impl,
                                    const BufferRef *Slots,
                                    KernelImpl::RunContext &Ctx) {
+  if (Impl.Exhausted)
+    return RunStatus::resourceExhausted();
   CircuitBreaker *Breaker = Impl.breaker();
-  if (!Breaker) {
+  CircuitBreaker::Gate G = CircuitBreaker::Gate::Allow;
+  if (Breaker) {
+    bool ForceOpen;
     try {
-      if (DAISY_FAILPOINT("kernel.run"))
-        throw std::runtime_error("injected fault at fail point 'kernel.run'");
-      runProfiledSlotsOn(Impl, Slots, Ctx);
-      return {};
-    } catch (const std::exception &E) {
-      return RunStatus::faulted(E.what());
+      ForceOpen = DAISY_FAILPOINT("engine.quarantine");
+    } catch (...) {
+      ForceOpen = true; // An armed Throw here is a force too.
     }
-  }
-  bool ForceOpen;
-  try {
-    ForceOpen = DAISY_FAILPOINT("engine.quarantine");
-  } catch (...) {
-    ForceOpen = true; // An armed Throw here is a force too.
-  }
-  CircuitBreaker::Gate G = Breaker->admit(ForceOpen);
-  if (G == CircuitBreaker::Gate::Reroute) {
-    addStatsCounter("Engine.QuarantineReroutes");
-    try {
-      runTreeWalkSlotsOn(Impl, Slots, Ctx);
-      return {};
-    } catch (const std::exception &E) {
-      return RunStatus::faulted(E.what());
+    G = Breaker->admit(ForceOpen);
+    if (G == CircuitBreaker::Gate::Reroute) {
+      addStatsCounter("Engine.QuarantineReroutes");
+      try {
+        runTreeWalkSlotsOn(Impl, Slots, Ctx);
+        return {};
+      } catch (const std::exception &E) {
+        return RunStatus::faulted(E.what());
+      }
     }
   }
   try {
     if (DAISY_FAILPOINT("kernel.run"))
       throw std::runtime_error("injected fault at fail point 'kernel.run'");
     runProfiledSlotsOn(Impl, Slots, Ctx);
-    Breaker->recordSuccess(G);
+    if (Breaker)
+      Breaker->recordSuccess(G);
     return {};
   } catch (const std::exception &E) {
+    if (!Breaker)
+      return RunStatus::faulted(E.what());
     Breaker->recordFailure(G);
     addStatsCounter("Engine.RunFaults");
     try {
@@ -632,7 +607,8 @@ inline RunStatus runGuardedSlotsOn(const KernelImpl &Impl,
   }
 }
 
-/// Single-run convenience over runGuardedSlotsOn.
+/// Single-run convenience over runGuardedSlotsOn: borrows a pooled
+/// context for one run. Thread-safe for concurrent calls.
 inline RunStatus runGuardedSlots(const KernelImpl &Impl,
                                  const BufferRef *Slots) {
   PooledContext Ctx(Impl);

@@ -23,7 +23,6 @@ DataEnv::DataEnv(const Program &Prog) {
         static_cast<size_t>(std::max<int64_t>(Decl.elementCount(), 1)), 0.0);
     SlotNames.push_back(Decl.Name);
     Slots.emplace(Decl.Name, Slot);
-    TransientFlags.push_back(Decl.Transient);
     if (!Decl.Transient)
       NonTransient.push_back(Slot);
   }
@@ -63,8 +62,8 @@ size_t DataEnv::memoryBytes() const {
     Bytes += Buffer.capacity() * sizeof(double) + sizeof(Buffer);
   for (const std::string &Name : SlotNames)
     Bytes += Name.capacity() + sizeof(Name);
-  // Slots map nodes and NonTransient/TransientFlags are noise next to the
-  // buffers; a nominal per-entry charge keeps empty programs non-zero.
+  // Slots map nodes and NonTransient are noise next to the buffers; a
+  // nominal per-entry charge keeps empty programs non-zero.
   Bytes += Slots.size() * (sizeof(std::pair<std::string, size_t>) + 32) +
            NonTransient.capacity() * sizeof(size_t);
   return Bytes;
@@ -80,27 +79,6 @@ void DataEnv::initDeterministic(uint64_t Seed) {
       Buffer[I] =
           std::fmod(Scale * static_cast<double>(I % 251) + 1.0, 13.0) / 13.0;
   }
-}
-
-bool DataEnv::resetFor(const Program &Prog, uint64_t Seed) {
-  if (Prog.arrays().size() != Buffers.size())
-    return false;
-  for (size_t Slot = 0; Slot < Buffers.size(); ++Slot) {
-    const ArrayDecl &Decl = Prog.arrays()[Slot];
-    if (Decl.Name != SlotNames[Slot] ||
-        Decl.Transient != TransientFlags[Slot] ||
-        static_cast<size_t>(std::max<int64_t>(Decl.elementCount(), 1)) !=
-            Buffers[Slot].size())
-      return false;
-  }
-  // Transients return to their allocation-time zeros; initDeterministic
-  // overwrites every observable element, so the combination reproduces a
-  // fresh environment exactly.
-  for (size_t Slot = 0; Slot < Buffers.size(); ++Slot)
-    if (TransientFlags[Slot])
-      std::fill(Buffers[Slot].begin(), Buffers[Slot].end(), 0.0);
-  initDeterministic(Seed);
-  return true;
 }
 
 double DataEnv::maxAbsDifference(const DataEnv &A, const DataEnv &B,

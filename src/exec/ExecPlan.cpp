@@ -498,7 +498,7 @@ ExecContext &ExecContext::operator=(ExecContext &&Other) noexcept = default;
 
 size_t ExecContext::memoryBytes() const {
   if (!St)
-    return sizeof(State); // Moved-from; healedState reallocates on use.
+    return sizeof(State); // Moved-from; run() reallocates on use.
   const State &S = *St;
   return sizeof(State) +
          (S.Regs.capacity() + S.LoopHi.capacity() + S.Offs.capacity() +
@@ -981,36 +981,23 @@ void PlanExecutor::exec(size_t Begin, size_t End) {
   }
 }
 
-ExecContext::State &ExecPlan::healedState(ExecContext &Ctx) {
-  if (!Ctx.St)
-    Ctx.St = std::make_unique<ExecContext::State>();
-  Ctx.St->Ptrs.clear();
-  Ctx.St->Sizes.clear();
-  return *Ctx.St;
-}
-
 void ExecPlan::run(DataEnv &Env) const {
+  std::vector<BufferRef> Slots;
+  Slots.reserve(Env.slotCount());
+  for (size_t Slot = 0; Slot < Env.slotCount(); ++Slot)
+    Slots.push_back({Env.bufferAt(Slot).data(), Env.bufferAt(Slot).size()});
   ExecContext Ctx;
-  run(Env, Ctx);
-}
-
-void ExecPlan::run(DataEnv &Env, ExecContext &Ctx) const {
-  ExecContext::State &St = healedState(Ctx);
-  St.Ptrs.reserve(Env.slotCount());
-  St.Sizes.reserve(Env.slotCount());
-  for (size_t Slot = 0; Slot < Env.slotCount(); ++Slot) {
-    St.Ptrs.push_back(Env.bufferAt(Slot).data());
-    St.Sizes.push_back(Env.bufferAt(Slot).size());
-  }
-  PlanExecutor Executor(*this, St);
-  Executor.exec(0, Ops.size());
+  run(Slots.data(), Slots.size(), Ctx);
 }
 
 void ExecPlan::run(const BufferRef *Slots, size_t SlotCount,
                    ExecContext &Ctx) const {
-  ExecContext::State &St = healedState(Ctx);
-  St.Ptrs.reserve(SlotCount);
-  St.Sizes.reserve(SlotCount);
+  // A moved-from context is healed instead of dereferenced.
+  if (!Ctx.St)
+    Ctx.St = std::make_unique<ExecContext::State>();
+  ExecContext::State &St = *Ctx.St;
+  St.Ptrs.clear();
+  St.Sizes.clear();
   for (size_t Slot = 0; Slot < SlotCount; ++Slot) {
     St.Ptrs.push_back(Slots[Slot].Data);
     St.Sizes.push_back(Slots[Slot].Size);

@@ -282,13 +282,9 @@ public:
                           const PlanOptions &Options = {});
 
   /// Executes the plan on \p Env, which must have been allocated from the
-  /// same program (slot order is the contract; see DataEnv). Results are
-  /// bit-identical for every NumThreads value.
+  /// same program (slot order is the contract; see DataEnv), with fresh
+  /// scratch. Results are bit-identical for every NumThreads value.
   void run(DataEnv &Env) const;
-
-  /// Like run(Env), but reuses the allocations of \p Ctx for the run's
-  /// scratch (register file, tape stack, offset and slot tables).
-  void run(DataEnv &Env, ExecContext &Ctx) const;
 
   /// Zero-copy execution: \p Slots[I] is the storage of
   /// Program::arrays()[I], with Size its exact element count. The caller
@@ -309,11 +305,6 @@ public:
   int threadCount() const { return ThreadCount; }
 
 private:
-  /// Shared head of the run overloads: heals a moved-from context
-  /// (instead of dereferencing its null state) and returns the state
-  /// with an emptied slot table, ready to fill.
-  static ExecContext::State &healedState(ExecContext &Ctx);
-
   std::vector<PlanOp> Ops;
   int MaxDepth = 0;
   int ThreadCount = 1;

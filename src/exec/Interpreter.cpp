@@ -6,13 +6,9 @@
 
 #include "exec/Interpreter.h"
 
-// This file is the tree-walking semantics definition only. The cached
-// convenience wrappers (interpret / runProgram /
-// semanticallyEquivalent{,Batch}) route through the process-wide engine
-// and are defined in api/Facade.cpp, so exec never includes the facade
-// and the library's include graph stays strictly layered.
 #include "blas/Kernels.h"
 #include "exec/EvalOps.h"
+#include "exec/ExecPlan.h"
 
 #include <cassert>
 
@@ -142,4 +138,15 @@ private:
 
 void daisy::interpretTreeWalk(const Program &Prog, DataEnv &Env) {
   InterpreterImpl(Prog, Env).run();
+}
+
+bool daisy::semanticallyEquivalent(const Program &A, const Program &B,
+                                   double Eps, uint64_t Seed) {
+  auto Run = [Seed](const Program &Prog) {
+    DataEnv Env(Prog);
+    Env.initDeterministic(Seed);
+    ExecPlan::compile(Prog).run(Env);
+    return Env;
+  };
+  return DataEnv::maxAbsDifference(Run(A), Run(B), A) <= Eps;
 }

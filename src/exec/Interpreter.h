@@ -10,11 +10,9 @@
 /// is correct iff interpreting the transformed program produces the same
 /// observable arrays as the original.
 ///
-/// Layering note: everything here except interpretTreeWalk routes through
-/// the process-wide engine's plan cache and is therefore *defined* in
-/// api/Facade.cpp — the declarations stay in this header (they are
-/// contracts over Program/DataEnv only), but exec/ sources never include
-/// the facade.
+/// To run a program fast, compile it: Kernel::compile or Engine::compile
+/// (api/) for the run-many handle, or ExecPlan::compile (exec/ExecPlan.h)
+/// for a bare plan.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,57 +24,18 @@
 
 namespace daisy {
 
-/// Executes \p Prog on \p Env; Call nodes run the reference BLAS kernels.
-/// Dispatches to the compiled execution plan (exec/ExecPlan.h) through
-/// the process-wide engine (api/Engine.h), so repeated calls on
-/// structurally identical programs compile once and hit the plan cache.
-/// Default options apply: `parallel` marks execute on the thread pool
-/// when DAISY_THREADS (or the hardware concurrency) exceeds 1, with
-/// results bit-identical to serial execution; vector marks do not change
-/// semantics. Use Engine::compile / Kernel::run directly to pin
-/// PlanOptions or to run on caller-owned buffers.
-void interpret(const Program &Prog, DataEnv &Env);
-
-/// Executes \p Prog with the original tree-walking evaluator. This is the
-/// executable semantics definition the compiled plan is differentially
-/// tested against; it is much slower than interpret().
+/// Executes \p Prog on \p Env with the tree-walking evaluator; Call nodes
+/// run the reference BLAS kernels. This is the executable semantics
+/// definition the compiled plan is differentially tested against, and
+/// much slower than it.
 void interpretTreeWalk(const Program &Prog, DataEnv &Env);
-
-/// Convenience: allocates an environment, initializes it deterministically
-/// with \p Seed, runs the program, and returns the environment.
-DataEnv runProgram(const Program &Prog, uint64_t Seed = 1);
 
 /// True if \p A and \p B compute the same observable arrays on a
 /// deterministic input (tolerance \p Eps, seed \p Seed). Both programs
-/// must declare the same non-transient arrays.
+/// must declare the same non-transient arrays. Each program is compiled
+/// with ExecPlan::compile (default options) and run once.
 bool semanticallyEquivalent(const Program &A, const Program &B,
                             double Eps = 1e-9, uint64_t Seed = 1);
-
-/// Batch equivalence: checks every program of \p Candidates against
-/// \p Ref, concurrently over the thread pool, and returns the verdicts in
-/// input order (Result[I] != 0 iff semanticallyEquivalent(Ref,
-/// *Candidates[I], Eps, Seed) would return true). The scheduler search
-/// verifies whole candidate sets at once, so the hot-path costs are paid
-/// per batch instead of per check:
-///
-/// - the reference program is compiled and executed at most once per
-///   batch (counter "SemEquivBatch.Batches" counts batch entries;
-///   "Engine.PlanCompiles" counts actual compiles, which the shared
-///   engine's plan cache can elide entirely across batches — the scalar
-///   API re-runs the reference for every comparison);
-/// - each pool thread keeps its data environment alive across checks and
-///   reuses it whenever the next candidate declares the same arrays
-///   (DataEnv::resetFor; counter "SemEquivBatch.EnvReuses"), so register
-///   scratch and buffers are not reallocated per candidate.
-///
-/// Verdicts are element-wise independent and deterministic, hence
-/// identical at every \p NumThreads (0 resolves to
-/// ThreadPool::defaultThreadCount()).
-std::vector<char>
-semanticallyEquivalentBatch(const Program &Ref,
-                            const std::vector<const Program *> &Candidates,
-                            double Eps = 1e-9, uint64_t Seed = 1,
-                            int NumThreads = 0);
 
 } // namespace daisy
 

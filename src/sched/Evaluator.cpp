@@ -25,20 +25,32 @@ uint64_t SimCache::keyFor(const Program &Prog, const SimOptions &Options) {
 
 double SimCache::seconds(const Program &Prog, const SimOptions &Options) {
   uint64_t Key = keyFor(Prog, Options);
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    auto It = Entries.find(Key);
-    if (It != Entries.end()) {
-      addStatsCounter("SimCache.Hits");
-      return It->second;
-    }
+  std::unique_lock<std::mutex> Lock(Mutex);
+  // A thread already walking this key computes the same value: wait for
+  // its result instead of simulating again.
+  Simulated.wait(Lock, [&] { return InFlight.count(Key) == 0; });
+  auto It = Entries.find(Key);
+  if (It != Entries.end()) {
+    addStatsCounter("SimCache.Hits");
+    return It->second;
   }
-  // Simulate outside the lock: the walk is the expensive part, and a
-  // racing duplicate computes the identical value.
+  InFlight.insert(Key);
+  // Simulate outside the lock: the walk is the expensive part.
+  Lock.unlock();
   addStatsCounter("SimCache.Misses");
-  double Seconds = simulateProgram(Prog, Options).Seconds;
-  std::lock_guard<std::mutex> Lock(Mutex);
+  double Seconds = 0.0;
+  try {
+    Seconds = simulateProgram(Prog, Options).Seconds;
+  } catch (...) {
+    Lock.lock();
+    InFlight.erase(Key); // A waiter takes the key over.
+    Simulated.notify_all();
+    throw;
+  }
+  Lock.lock();
+  InFlight.erase(Key);
   Entries.emplace(Key, Seconds);
+  Simulated.notify_all();
   return Seconds;
 }
 

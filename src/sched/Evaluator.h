@@ -45,16 +45,19 @@
 #include "machine/Simulator.h"
 #include "sched/Recipe.h"
 
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace daisy {
 
 /// Memoization table for whole-program simulations. Thread-safe: batch
-/// workers probe and fill it concurrently; a racing pair of misses on the
-/// same key both simulate (deterministically, to the same value) and the
-/// second insert is a no-op.
+/// workers probe and fill it concurrently. Each key is simulated once: a
+/// lookup of a key another thread is simulating waits for that result
+/// (and counts as a hit) instead of repeating the walk, so the miss count
+/// equals the number of distinct keys at every thread count.
 class SimCache {
 public:
   /// Cache key of simulating \p Prog under \p Options: marks-aware
@@ -70,7 +73,9 @@ public:
 
 private:
   mutable std::mutex Mutex;
+  std::condition_variable Simulated; ///< Signalled when a key completes.
   std::unordered_map<uint64_t, double> Entries;
+  std::unordered_set<uint64_t> InFlight; ///< Keys being simulated.
 };
 
 /// Knobs of the evaluator.

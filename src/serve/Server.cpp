@@ -417,6 +417,12 @@ void Server::workerLane(int Lane) {
     dispatchBatch(Batch, Lease);
     {
       std::lock_guard<std::mutex> Lock(Slot->M);
+      // A dispatch past the timeout counts as a stall even when the
+      // watchdog was not scheduled while it ran (a loaded machine can
+      // starve the poll for longer than the whole dispatch).
+      if (!Slot->DispatchStallCounted &&
+          serveNow() - Slot->DispatchStart >= Opts.StallTimeout)
+        CDispatchStalls.fetch_add(1, std::memory_order_relaxed);
       Slot->Dispatching = false;
       Slot->Epoch.fetch_add(1, std::memory_order_relaxed);
     }

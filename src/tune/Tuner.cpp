@@ -56,12 +56,16 @@ bool buildSlotMap(const Program &Base, const Program &Candidate,
     if (!BaseArrays[I].Transient && !Covered[I])
       return false;
   // Identity shortcut: same slot count and every slot maps to itself
-  // (transients of an identical layout are -1 but positionally equal).
+  // (transients of an identical layout are -1 but positionally equal, in
+  // element count too: an environment-backed run hands the version the
+  // base transient's buffer).
   if (CandArrays.size() == BaseArrays.size()) {
     bool Identity = true;
     for (size_t S = 0; S < CandArrays.size() && Identity; ++S)
       Identity = Map[S] == static_cast<int32_t>(S) ||
-                 (Map[S] == -1 && BaseArrays[S].Transient);
+                 (Map[S] == -1 && BaseArrays[S].Transient &&
+                  boundElementCount(BaseArrays[S]) ==
+                      boundElementCount(CandArrays[S]));
     if (Identity) {
       Map.clear();
       return true;

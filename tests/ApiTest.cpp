@@ -33,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -182,16 +183,6 @@ TEST(PlanCacheTest, ClearInvalidatesAndLruEvicts) {
   Before = statsCounter("Engine.PlanCompiles");
   Eng.compile(P1);
   EXPECT_EQ(statsCounter("Engine.PlanCompiles"), Before + 1);
-}
-
-TEST(PlanCacheTest, SharedEngineBacksFreeFunctions) {
-  Program Prog = makeGemm("k", "i", "j", 10);
-  DataEnv First = runProgram(Prog);
-  int64_t Compiles = statsCounter("Engine.PlanCompiles");
-  DataEnv Second = runProgram(Prog);
-  // The second execution reuses the shared engine's cached kernel.
-  EXPECT_EQ(statsCounter("Engine.PlanCompiles"), Compiles);
-  EXPECT_EQ(DataEnv::maxAbsDifference(First, Second, Prog), 0.0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -392,6 +383,39 @@ TEST(KernelTest, ContextPoolReusesAcrossRuns) {
   EXPECT_EQ(K.contextPoolSize(), 1u);
 }
 
+TEST(KernelTest, EnvironmentRunRejectsMismatchedEnvironments) {
+  // run(DataEnv&) checks the environment against the declarations in
+  // every build type: a mismatch is a bind error thrown before the plan
+  // can index past its slot table, and the environment is left as is.
+  Kernel K = Kernel::compile(makeGemm("i", "j", "k", 8));
+  auto Thrown = [&](DataEnv &Env) -> std::string {
+    try {
+      K.run(Env);
+    } catch (const std::runtime_error &E) {
+      return E.what();
+    }
+    return "";
+  };
+
+  Program Fewer("fewer");
+  Fewer.addArray("A", {8, 8});
+  DataEnv Short(Fewer);
+  EXPECT_NE(Thrown(Short).find("environment holds 1 buffers"),
+            std::string::npos);
+
+  Program Smaller = makeGemm("i", "j", "k", 7);
+  DataEnv Wrong(Smaller);
+  Wrong.initDeterministic(1);
+  std::vector<double> Before = Wrong.buffer("C");
+  std::string Error = Thrown(Wrong);
+  EXPECT_NE(Error.find("shape mismatch"), std::string::npos);
+  EXPECT_NE(Error.find("'A'"), std::string::npos);
+  EXPECT_EQ(Wrong.buffer("C"), Before);
+
+  DataEnv Right(makeGemm("i", "j", "k", 8));
+  EXPECT_EQ(Thrown(Right), "");
+}
+
 //===----------------------------------------------------------------------===//
 // End-to-end optimization
 //===----------------------------------------------------------------------===//
@@ -481,21 +505,55 @@ TEST(TreeWalkKernelTest, FallbackKernelIsBitIdenticalOnEveryRunPath) {
   EXPECT_FALSE(Fast.isTreeWalk());
   EXPECT_TRUE(Slow.isTreeWalk());
 
-  // Zero-copy ArgBinding path.
-  std::vector<std::pair<std::string, std::vector<double>>> FastBufs, SlowBufs;
-  fillLikeDataEnv(Prog, 5, FastBufs);
-  fillLikeDataEnv(Prog, 5, SlowBufs);
-  ArgBinding FastArgs, SlowArgs;
-  for (auto &[Name, Storage] : FastBufs)
-    FastArgs.bind(Name, Storage);
-  for (auto &[Name, Storage] : SlowBufs)
-    SlowArgs.bind(Name, Storage);
-  ASSERT_TRUE(Fast.run(FastArgs));
-  ASSERT_TRUE(Slow.run(SlowArgs));
-  EXPECT_EQ(FastBufs, SlowBufs);
+  DataEnv Ref(Prog);
+  Ref.initDeterministic(5);
+  interpretTreeWalk(Prog, Ref);
+  auto ExpectRef = [&](const DataEnv &Env, const char *Path) {
+    for (const ArrayDecl &Decl : Prog.arrays())
+      EXPECT_EQ(Env.buffer(Decl.Name), Ref.buffer(Decl.Name)) << Path;
+  };
+  using Buffers = std::vector<std::pair<std::string, std::vector<double>>>;
+  auto ExpectRefBuffers = [&](const Buffers &Bufs, const char *Path) {
+    for (const auto &[Name, Storage] : Bufs)
+      EXPECT_EQ(Storage, Ref.buffer(Name)) << Path;
+  };
+  auto Bind = [](Buffers &Bufs) {
+    ArgBinding Args;
+    for (auto &[Name, Storage] : Bufs)
+      Args.bind(Name, Storage);
+    return Args;
+  };
 
-  // DataEnv path, repeated so the pooled fallback environment is reused
-  // dirty — transients must still be re-zeroed per run.
+  for (const Kernel &K : {Fast, Slow}) {
+    SCOPED_TRACE(K.isTreeWalk() ? "tree-walk kernel" : "plan kernel");
+    Buffers Bufs;
+    fillLikeDataEnv(Prog, 5, Bufs);
+    ASSERT_TRUE(K.run(Bind(Bufs)));
+    ExpectRefBuffers(Bufs, "run(ArgBinding)");
+
+    fillLikeDataEnv(Prog, 5, Bufs);
+    BoundArgs Bound = K.bind(Bind(Bufs));
+    ASSERT_TRUE(K.run(Bound));
+    ExpectRefBuffers(Bufs, "run(BoundArgs)");
+
+    fillLikeDataEnv(Prog, 5, Bufs);
+    BoundArgs Batched = K.bind(Bind(Bufs));
+    const BoundArgs *Batch[] = {&Batched};
+    RunStatus Status;
+    RunContextLease Lease;
+    K.runBatch(Batch, &Status, 1, Lease);
+    ASSERT_TRUE(Status);
+    ExpectRefBuffers(Bufs, "runBatch(Lease)");
+
+    DataEnv Env(Prog);
+    Env.initDeterministic(5);
+    K.run(Env);
+    ExpectRef(Env, "run(DataEnv&)");
+    ExpectRef(K.run(/*Seed=*/5), "run(Seed)");
+  }
+
+  // Repeated so the pooled fallback environment is reused dirty —
+  // transients must still be re-zeroed per run.
   Program TProg = makeTransientProgram(8);
   Kernel TSlow = Kernel::treeWalk(TProg);
   std::vector<double> In(8, 3.0), Out(8, 0.0);
@@ -507,6 +565,39 @@ TEST(TreeWalkKernelTest, FallbackKernelIsBitIdenticalOnEveryRunPath) {
   EXPECT_EQ(Out, FirstOut);
   EXPECT_EQ(Out[0], 3.0 * 2.0 + 1.0);
 }
+
+#if DAISY_ENABLE_FAILPOINTS
+
+TEST(KernelFaultTest, EnvironmentRunHealsAnArmedRunFault) {
+  // run(DataEnv&) takes the guarded path: on an Engine kernel an injected
+  // run fault is healed through the tree-walker (bit-identical, no
+  // throw); a kernel without a breaker throws the Faulted diagnostic.
+  Program Prog = makeGemm("i", "j", "k", 12);
+  DataEnv Ref(Prog);
+  Ref.initDeterministic(3);
+  interpretTreeWalk(Prog, Ref);
+
+  Engine Eng;
+  Kernel K = Eng.compile(Prog);
+  resetStatsCounters();
+  FailPointConfig Fire;
+  Fire.Action = FailAction::Trigger;
+  armFailPoint("kernel.run", Fire, /*Seed=*/1);
+  DataEnv Env(Prog);
+  Env.initDeterministic(3);
+  EXPECT_NO_THROW(K.run(Env));
+  DataEnv Unguarded(Prog);
+  Unguarded.initDeterministic(3);
+  EXPECT_THROW(Kernel::compile(Prog).run(Unguarded), std::runtime_error);
+  disarmFailPoint("kernel.run");
+
+  EXPECT_EQ(statsCounter("Engine.RunFaults"), 1);
+  EXPECT_EQ(statsCounter("Engine.FaultHeals"), 1);
+  for (const ArrayDecl &Decl : Prog.arrays())
+    EXPECT_EQ(Env.buffer(Decl.Name), Ref.buffer(Decl.Name)) << Decl.Name;
+}
+
+#endif // DAISY_ENABLE_FAILPOINTS
 
 //===----------------------------------------------------------------------===//
 // Engine memory budgets
@@ -558,8 +649,8 @@ TEST(EngineBudgetTest, ExhaustionSurfacesAsAStatusAndIsNeverCached) {
   EXPECT_TRUE(Eng.compile(Prog).isExhausted());
   EXPECT_EQ(statsCounter("Engine.PlanCompiles"), Before + 1);
 
-  // Every status-returning run form surfaces the exhaustion; none throw
-  // and none touch the outputs.
+  // Every status-returning run form surfaces the exhaustion, the
+  // environment forms throw it, and none touch the outputs.
   std::vector<double> A(64, 1.0), B(64, 1.0), C(64, -1.0);
   ArgBinding Args;
   Args.bind("A", A).bind("B", B).bind("C", C);
@@ -574,9 +665,11 @@ TEST(EngineBudgetTest, ExhaustionSurfacesAsAStatusAndIsNeverCached) {
 
   const BoundArgs *Batch[] = {&Bound, &Bound};
   RunStatus Statuses[2];
-  K.runBatch(Batch, Statuses, 2);
+  RunContextLease Lease;
+  K.runBatch(Batch, Statuses, 2, Lease);
   EXPECT_EQ(Statuses[0].Why, RunStatus::ResourceExhausted);
   EXPECT_EQ(Statuses[1].Why, RunStatus::ResourceExhausted);
+  EXPECT_THROW(K.run(/*Seed=*/1), std::runtime_error);
   for (double V : C)
     EXPECT_EQ(V, -1.0);
 }

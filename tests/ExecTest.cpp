@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "exec/Interpreter.h"
+#include "api/Kernel.h"
 #include "blas/Kernels.h"
 #include "frontends/PolyBench.h"
 #include "ir/Builder.h"
-#include "support/Statistics.h"
 
 #include <gtest/gtest.h>
 
@@ -74,7 +74,7 @@ TEST(InterpreterTest, SimpleAssignment) {
   Prog.append(forLoop("i", 0, 4,
                       {assign("S0", "A", {ax("i")},
                               Expr::makeIter("i") * lit(2.0))}));
-  DataEnv Env = runProgram(Prog);
+  DataEnv Env = Kernel::compile(Prog).run();
   for (int I = 0; I < 4; ++I)
     EXPECT_DOUBLE_EQ(Env.buffer("A")[static_cast<size_t>(I)], 2.0 * I);
 }
@@ -87,7 +87,7 @@ TEST(InterpreterTest, GemmMatchesManualComputation) {
   std::vector<double> A = Env.buffer("A");
   std::vector<double> B = Env.buffer("B");
   std::vector<double> C = Env.buffer("C");
-  interpret(Prog, Env);
+  Kernel::compile(Prog).run(Env);
   for (int I = 0; I < N; ++I)
     for (int J = 0; J < N; ++J) {
       double Expected = C[static_cast<size_t>(I * N + J)];
@@ -106,7 +106,7 @@ TEST(InterpreterTest, TriangularBoundsRespected) {
       "i", 0, 6,
       {forLoop("j", ac(0), ax("i") + 1,
                {assign("S0", "C", {ax("i"), ax("j")}, lit(1.0))})}));
-  DataEnv Env = runProgram(Prog, 99);
+  DataEnv Env = Kernel::compile(Prog).run(99);
   for (int I = 0; I < 6; ++I)
     for (int J = 0; J < 6; ++J) {
       double V = Env.buffer("C")[static_cast<size_t>(I * 6 + J)];
@@ -131,7 +131,7 @@ TEST(InterpreterTest, SelectAndIntrinsics) {
   DataEnv Env(Prog);
   Env.initDeterministic(2);
   std::vector<double> A = Env.buffer("A");
-  interpret(Prog, Env);
+  Kernel::compile(Prog).run(Env);
   for (int I = 0; I < 4; ++I) {
     double AV = A[static_cast<size_t>(I)];
     double Expected = AV > 0.5 ? std::sqrt(AV) : std::exp(AV);
@@ -157,7 +157,7 @@ TEST(InterpreterTest, StepLoops) {
   Prog.addArray("A", {10});
   Prog.append(forLoop("i", 0, 10,
                       {assign("S0", "A", {ax("i")}, lit(1.0))}, 2));
-  DataEnv Env = runProgram(Prog, 0);
+  DataEnv Env = Kernel::compile(Prog).run(0);
   // initDeterministic fills A; overwrite pattern on even indices only.
   for (int I = 0; I < 10; I += 2)
     EXPECT_DOUBLE_EQ(Env.buffer("A")[static_cast<size_t>(I)], 1.0);
@@ -210,92 +210,17 @@ TEST(BlasKernelTest, EfficiencyModelSane) {
 }
 
 //===----------------------------------------------------------------------===//
-// Batch equivalence checking
+// Equivalence checking
 //===----------------------------------------------------------------------===//
 
-TEST(SemEquivBatchTest, MatchesScalarOverAllPolyBenchVariants) {
-  // Differential over every frontend kernel: the batch verdicts must be
-  // exactly the N scalar verdicts, at several thread counts. B and
-  // NPBench variants are semantically equivalent alternates of A, so
-  // this also exercises the true-positive path everywhere.
-  for (PolyBenchKernel Kernel : allPolyBenchKernels()) {
-    Program A = buildPolyBench(Kernel, VariantKind::A);
-    Program B = buildPolyBench(Kernel, VariantKind::B);
-    Program NP = buildPolyBench(Kernel, VariantKind::NPBench);
-    std::vector<const Program *> Candidates = {&B, &NP, &A};
-    std::vector<char> Expected;
-    for (const Program *Candidate : Candidates)
-      Expected.push_back(semanticallyEquivalent(A, *Candidate) ? 1 : 0);
-    for (int Threads : {1, 2, 4}) {
-      std::vector<char> Got =
-          semanticallyEquivalentBatch(A, Candidates, 1e-9, 1, Threads);
-      ASSERT_EQ(Got.size(), Expected.size());
-      for (size_t I = 0; I < Got.size(); ++I)
-        EXPECT_EQ(Got[I] != 0, Expected[I] != 0)
-            << polyBenchName(Kernel) << " candidate " << I << " threads "
-            << Threads;
-    }
-  }
-}
-
-TEST(SemEquivBatchTest, DetectsInequivalentCandidate) {
+TEST(SemanticEquivalenceTest, DetectsInequivalentProgram) {
   Program A = buildPolyBench(PolyBenchKernel::Gemm, VariantKind::A);
   Program B = buildPolyBench(PolyBenchKernel::Gemm, VariantKind::B);
-  // Corrupt one coefficient: verdict must be negative, in the right slot.
+  EXPECT_TRUE(semanticallyEquivalent(A, B));
+  // Skip every other row: the verdict must be negative.
   Program Broken = B.clone();
   auto *L = dynCast<Loop>(Broken.topLevel()[0]);
   ASSERT_NE(L, nullptr);
-  L->setBounds(L->lower(), L->upper(), 2); // skip every other row
-  std::vector<const Program *> Candidates = {&B, &Broken};
-  std::vector<char> Verdicts = semanticallyEquivalentBatch(A, Candidates);
-  EXPECT_NE(Verdicts[0], 0);
-  EXPECT_EQ(Verdicts[1], 0);
-}
-
-TEST(SemEquivBatchTest, CompilesReferenceOncePerBatch) {
-  Program A = buildPolyBench(PolyBenchKernel::Gemm, VariantKind::A);
-  Program B = buildPolyBench(PolyBenchKernel::Gemm, VariantKind::B);
-  Program NP = buildPolyBench(PolyBenchKernel::Gemm, VariantKind::NPBench);
-  std::vector<const Program *> Candidates = {&B, &NP, &A, &B, &NP};
-  resetStatsCounters();
-  semanticallyEquivalentBatch(A, Candidates, 1e-9, 1, /*NumThreads=*/4);
-  // One batch entry, five per-candidate checks. The reference compile
-  // goes through the shared engine's plan cache: at most one real
-  // compile for this batch, none if the reference was already cached.
-  EXPECT_EQ(statsCounter("SemEquivBatch.Batches"), 1);
-  EXPECT_EQ(statsCounter("SemEquivBatch.Checks"),
-            static_cast<int64_t>(Candidates.size()));
-  EXPECT_LE(statsCounter("Engine.PlanCompiles"), 1);
-
-  // A second batch against the same reference pays zero reference
-  // compiles — the cached kernel is reused.
-  resetStatsCounters();
-  semanticallyEquivalentBatch(A, Candidates, 1e-9, 1, /*NumThreads=*/4);
-  EXPECT_EQ(statsCounter("Engine.PlanCompiles"), 0);
-  EXPECT_EQ(statsCounter("Engine.PlanCacheHits"), 1);
-}
-
-TEST(DataEnvTest, ResetForReproducesFreshEnvironment) {
-  Program Prog("p");
-  Prog.addArray("A", {8, 8});
-  Prog.addArray("T", {16}, /*Transient=*/true);
-  DataEnv Fresh(Prog);
-  Fresh.initDeterministic(3);
-
-  DataEnv Reused(Prog);
-  Reused.initDeterministic(9); // different pattern
-  Reused.buffer("T")[5] = 42.0; // dirty transient state
-  ASSERT_TRUE(Reused.resetFor(Prog, 3));
-  EXPECT_EQ(Reused.buffer("A"), Fresh.buffer("A"));
-  EXPECT_EQ(Reused.buffer("T"), Fresh.buffer("T"));
-
-  // Any declaration mismatch refuses the reuse.
-  Program Other("q");
-  Other.addArray("A", {8, 8});
-  Other.addArray("T", {17}, /*Transient=*/true);
-  EXPECT_FALSE(Reused.resetFor(Other, 3));
-  Program Renamed("r");
-  Renamed.addArray("A", {8, 8});
-  Renamed.addArray("U", {16}, /*Transient=*/true);
-  EXPECT_FALSE(Reused.resetFor(Renamed, 3));
+  L->setBounds(L->lower(), L->upper(), 2);
+  EXPECT_FALSE(semanticallyEquivalent(A, Broken));
 }

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace daisy;
 
 namespace {
@@ -162,6 +164,38 @@ TEST(SimCacheTest, CachedValueMatchesUncachedEvaluation) {
   EXPECT_EQ(First, evaluateRecipe(R, Prog, 0, fastOptions()));
 }
 
+TEST(SimCacheTest, ConcurrentDuplicatesSimulateOnce) {
+  // Each recipe four times in a row, so the four lanes of a 4-thread
+  // batch (lane L scores L, L+4, ...) look up the same key together: one
+  // lookup simulates it, the others wait for that result.
+  Program Prog = makeGemmVariant("j", "k", "i", 24);
+  std::vector<Recipe> Distinct = {Recipe::defaultParallelRecipe(),
+                                  Recipe::blasRecipe()};
+  Rng Rand(5);
+  for (int I = 0; I < 4; ++I)
+    Distinct.push_back(mutateRecipe(Recipe::defaultParallelRecipe(), 3, Rand));
+  std::vector<Recipe> Batch;
+  std::set<uint64_t> Keys;
+  for (const Recipe &R : Distinct) {
+    Batch.insert(Batch.end(), 4, R);
+    Program Ctx = Prog;
+    Ctx.topLevel()[0] = applyRecipe(R, Prog.topLevel()[0], Ctx);
+    Keys.insert(SimCache::keyFor(Ctx, fastOptions()));
+  }
+
+  EvalConfig Config;
+  Config.NumThreads = 4;
+  Evaluator Eval(fastOptions(), Config);
+  resetStatsCounters();
+  std::vector<double> Scores = Eval.recipeSecondsBatch(Prog, 0, Batch);
+  EXPECT_EQ(statsCounter("SimCache.Misses"),
+            static_cast<int64_t>(Keys.size()));
+  EXPECT_EQ(statsCounter("SimCache.Hits"),
+            static_cast<int64_t>(Batch.size() - Keys.size()));
+  for (size_t I = 0; I < Batch.size(); ++I)
+    EXPECT_EQ(Scores[I], Scores[I / 4 * 4]) << I;
+}
+
 //===----------------------------------------------------------------------===//
 // Evaluator batches
 //===----------------------------------------------------------------------===//
@@ -200,6 +234,30 @@ TEST(EvaluatorTest, SharedContextIsNotMutated) {
   Eval.recipeSeconds(Prog, 0, Recipe::defaultParallelRecipe());
   EXPECT_EQ(structuralHashWithMarks(Prog.topLevel()[0]), Before);
   EXPECT_EQ(Prog.topLevel().size(), 1u);
+}
+
+TEST(EvaluatorTest, SeedingSimulatesEachKeyOnceAtEveryThreadCount) {
+  // Database seeding scores whole candidate batches; at 4 threads the
+  // duplicates inside a batch must not be simulated twice, so the miss
+  // count matches the serial run exactly.
+  Program Prog = makeGemmVariant("i", "j", "k", 16);
+  DaisyOptions Options;
+  Options.Idioms.clear();
+  SearchBudget Budget;
+  Budget.Epochs = 1;
+  std::vector<int64_t> Misses;
+  for (int Threads : {1, 4}) {
+    EvalConfig Config;
+    Config.NumThreads = Threads;
+    Evaluator Eval(fastOptions(), Config);
+    TransferTuningDatabase Db;
+    Rng Rand(7);
+    resetStatsCounters();
+    DaisyScheduler::seedDatabase(Db, Prog, Eval, Budget, Rand, Options);
+    Misses.push_back(statsCounter("SimCache.Misses"));
+  }
+  EXPECT_GT(Misses[0], 0);
+  EXPECT_EQ(Misses[1], Misses[0]);
 }
 
 //===----------------------------------------------------------------------===//

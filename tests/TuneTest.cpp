@@ -223,7 +223,7 @@ TEST(HotSwapTest, InstalledVersionRunsWithSlotMapRemap) {
   std::vector<BufferRef> Slots = {{In.data(), In.size()},
                                   {Out.data(), Out.size()}};
 
-  runPreparedSlots(*Impl, Slots.data());
+  ASSERT_TRUE(runGuardedSlots(*Impl, Slots.data()));
   EXPECT_EQ(Out[0], 7.0);
   EXPECT_EQ(Impl->currentVersionId(), 0u); // Base plan.
 
@@ -239,7 +239,7 @@ TEST(HotSwapTest, InstalledVersionRunsWithSlotMapRemap) {
   EXPECT_FALSE(Impl->installProbe(V));
 
   std::fill(Out.begin(), Out.end(), 0.0);
-  runPreparedSlots(*Impl, Slots.data());
+  ASSERT_TRUE(runGuardedSlots(*Impl, Slots.data()));
   EXPECT_EQ(Out[0], 7.0);
   EXPECT_EQ(Out[N - 1], 7.0);
 
@@ -268,8 +268,54 @@ TEST(HotSwapTest, RollbackRestoresPriorVersion) {
   std::vector<double> In(N, 5.0), Out(N, 0.0);
   std::vector<BufferRef> Slots = {{In.data(), In.size()},
                                   {Out.data(), Out.size()}};
-  runPreparedSlots(*Impl, Slots.data());
+  ASSERT_TRUE(runGuardedSlots(*Impl, Slots.data()));
   EXPECT_EQ(Out[0], 11.0);
+}
+
+namespace {
+
+/// A version of makePairProgram that computes Out = In * 2 + 2 instead of
+/// + 1, with the arrays declared in the opposite order (SlotMap {1, 0}):
+/// results show which plan a run executed.
+Program makeDistinguishablePairVariant(int N) {
+  Program Prog("pair_plus_two");
+  Prog.addArray("Out", {N});
+  Prog.addArray("In", {N});
+  Prog.append(forLoop("i", 0, N,
+                      {assign("S0", "Out", {ax("i")},
+                              read("In", {ax("i")}) * lit(2.0) + lit(2.0))}));
+  return Prog;
+}
+
+} // namespace
+
+TEST(HotSwapTest, EveryRunFormExecutesTheInstalledVersion) {
+  constexpr int N = 16;
+  Program Base = makePairProgram(N);
+  Kernel K = Kernel::compile(Base);
+  const auto *Impl = static_cast<const KernelImpl *>(K.token());
+  auto V = std::make_shared<const PlanVersion>(
+      makeDistinguishablePairVariant(N), PlanOptions{},
+      std::vector<int32_t>{1, 0}, Impl->claimVersionId());
+  ASSERT_TRUE(Impl->installProbe(V));
+
+  DataEnv Env(Base);
+  Env.initDeterministic(1);
+  std::vector<double> In = Env.buffer("In");
+  K.run(Env);
+  for (int I = 0; I < N; ++I)
+    EXPECT_EQ(Env.buffer("Out")[I], In[I] * 2.0 + 2.0) << "run(DataEnv&)";
+  DataEnv Seeded = K.run(/*Seed=*/1);
+  EXPECT_EQ(Seeded.buffer("Out"), Env.buffer("Out")) << "run(Seed)";
+
+  OwnedArgs Args(Base);
+  ASSERT_TRUE(K.run(Args.binding()));
+  EXPECT_EQ(Args.Buffers[1].second, Env.buffer("Out")) << "run(ArgBinding)";
+
+  // Rolled back, the environment form runs the base plan again.
+  ASSERT_TRUE(Impl->rollbackProbe());
+  K.run(Env);
+  EXPECT_EQ(Env.buffer("Out")[0], In[0] * 2.0 + 1.0);
 }
 
 // The TSan target: 8 readers run the kernel through pooled contexts
@@ -296,7 +342,10 @@ TEST(HotSwapStressTest, ReadersSeeNoTornPlanAcrossSwaps) {
                                       {Out.data(), Out.size()}};
       while (!Stop.load(std::memory_order_relaxed)) {
         std::fill(Out.begin(), Out.end(), 0.0);
-        runPreparedSlots(*Impl, Slots.data());
+        if (!runGuardedSlots(*Impl, Slots.data())) {
+          Mismatches.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
         for (int I = 0; I < N; ++I)
           if (Out[I] != In[I] * 2.0 + 1.0) {
             Mismatches.fetch_add(1, std::memory_order_relaxed);
@@ -344,6 +393,30 @@ EngineOptions tuningOptions(double MinGainPct) {
 }
 
 } // namespace
+
+TEST(HotSwapTest, EnvironmentRunSamplesTheInstalledVersion) {
+  // With every run sampled, the profile tap labels run(DataEnv&) samples
+  // with the version that executed.
+  constexpr int N = 16;
+  Engine Eng(tuningOptions(/*MinGainPct=*/0.0));
+  Program Base = makePairProgram(N);
+  Kernel K = Eng.compile(Base);
+  const auto *Impl = static_cast<const KernelImpl *>(K.token());
+  ASSERT_NE(Impl->profile(), nullptr);
+  uint32_t Id = Impl->claimVersionId();
+  ASSERT_TRUE(Impl->installProbe(std::make_shared<const PlanVersion>(
+      makePairVariant(N), PlanOptions{}, std::vector<int32_t>{1, 0, -1}, Id)));
+
+  DataEnv Env(Base);
+  Env.initDeterministic(1);
+  K.run(Env);
+  K.run(Env);
+  KernelProfile::Snapshot Snap = Impl->profile()->snapshot();
+  const KernelProfile::VersionStats *Row = Snap.versionStats(Id);
+  ASSERT_NE(Row, nullptr);
+  EXPECT_EQ(Row->Count, 2u);
+  EXPECT_EQ(Snap.versionStats(0), nullptr); // The base plan never ran.
+}
 
 TEST(TunerCycleTest, PromotesBitIdenticalCandidateFromLiveSamples) {
   // Negative gate: promote on any measured delta — the swap mechanics,
